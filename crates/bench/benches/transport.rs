@@ -12,22 +12,22 @@ fn bench_frame_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("frame_codec");
     let limits = FrameLimits::default();
     for size in [64usize, 4_096, 262_144] {
-        let frame = Frame::new(FrameKind::Briefcase, vec![0xABu8; size]);
+        let frame = Frame::new(FrameKind::BriefcaseSeq, vec![0xABu8; size]);
         let wire = frame.encode();
         group.throughput(Throughput::Bytes(size as u64));
         group.bench_with_input(BenchmarkId::new("encode", size), &frame, |b, f| {
             b.iter(|| black_box(f.encode()));
         });
         group.bench_with_input(BenchmarkId::new("decode", size), &wire, |b, w| {
-            b.iter(|| black_box(Frame::decode(w, &limits).unwrap()));
+            b.iter(|| black_box(Frame::read_from(&mut w.as_slice(), &limits).unwrap()));
         });
     }
     group.finish();
 }
 
 /// One ack'd briefcase send over an established loopback connection —
-/// the steady-state per-message cost of `taxd`-to-`taxd` delivery
-/// (handshake amortized away by the connection pool).
+/// the steady-state per-message cost of a window-1 sequenced send
+/// (handshake amortized away: one connection carries every send).
 fn bench_tcp_loopback_send(c: &mut Criterion) {
     let listener = TransportListener::bind("127.0.0.1:0", ListenerConfig::trusting("bench-server"))
         .expect("bind loopback");

@@ -3,7 +3,8 @@
 //! Runs the same park → deliver → ship cycle a journaling `taxd` performs
 //! for every hop — decode the arriving message, park it in the pending
 //! queue, drain it, then ship a hop over a real loopback TCP connection
-//! and wait for the ack — with no journal (the in-memory baseline) and
+//! through the reactor transport (`taxd`'s client) and wait for the
+//! cumulative ack — with no journal (the in-memory baseline) and
 //! with a durable journal at several fsync-batch settings.
 //!
 //! The pipeline runs on a small fleet of sender threads sharing one
@@ -41,7 +42,9 @@ use tacoma_firewall::{Message, PendingQueue};
 use tacoma_journal::{Journal, JournalConfig, OpenHop};
 use tacoma_security::Principal;
 use tacoma_simnet::SimTime;
-use tacoma_transport::{ListenerConfig, TcpConfig, TcpTransport, Transport, TransportListener};
+use tacoma_transport::{
+    ListenerConfig, ReactorConfig, ReactorTransport, Transport, TransportListener,
+};
 
 /// Sender threads sharing the journal — the daemon's listener/scheduler
 /// concurrency, and what lets group commit amortize fsyncs across hops.
@@ -165,9 +168,13 @@ fn sender_thread(
     journal: Option<&Journal>,
     start: &Barrier,
 ) {
-    let transport = TcpTransport::new(TcpConfig::default());
+    // One peer, so one shard: each sender thread owns its connection.
+    let transport = ReactorTransport::new(ReactorConfig {
+        shards: 1,
+        ..ReactorConfig::default()
+    });
     transport.add_peer("sink", format!("127.0.0.1:{port}"));
-    // Open the connection pool outside the timed region.
+    // Open the connection outside the timed region.
     transport
         .send("bench", "sink", port, wire)
         .expect("loopback warmup");
@@ -258,7 +265,7 @@ fn sender_thread(
 const REPS: usize = 3;
 
 /// Runs `cycles` total cycles across [`THREADS`] sender threads, each
-/// with its own pending queue and loopback connection pool, sharing the
+/// with its own pending queue and reactor connection, sharing the
 /// journal (when present) exactly as a daemon's threads share its log.
 /// Repeats [`REPS`] times and keeps the median run by wall clock.
 fn run_pipeline(

@@ -122,10 +122,10 @@ impl SystemBuilder {
     }
 
     /// Overrides the outbound transport. Defaults to the in-process
-    /// simnet bus; `taxd` installs a [`TcpTransport`] here so the same
-    /// kernel ships messages over real sockets.
+    /// simnet bus; `taxd` installs a [`ReactorTransport`] here so the
+    /// same kernel ships messages over real sockets.
     ///
-    /// [`TcpTransport`]: tacoma_transport::TcpTransport
+    /// [`ReactorTransport`]: tacoma_transport::ReactorTransport
     pub fn transport(mut self, transport: Arc<dyn tacoma_transport::Transport>) -> Self {
         self.transport = Some(transport);
         self

@@ -1,26 +1,46 @@
 //! The acceptance scenario for undeliverable mail over real TCP: a
-//! Deliver message whose destination daemon is down is *parked* in the
-//! pending queue (never silently dropped), survives failed redelivery
-//! sweeps with its original deadline, and goes out the moment the peer
-//! comes back.
+//! Deliver message whose destination daemon is down goes out
+//! optimistically, fails once the transport's retry budget runs out, and
+//! is then *parked* in the pending queue (never silently dropped). It
+//! survives failed redelivery sweeps with its original deadline, and goes
+//! out the moment the peer comes back.
+
+use std::time::{Duration, Instant};
 
 use tacoma_briefcase::Briefcase;
 use tacoma_firewall::{Decision, Firewall, Message};
 use tacoma_security::{Policy, Principal, TrustStore};
 use tacoma_simnet::SimTime;
-use tacoma_transport::{BackoffPolicy, ListenerConfig, TcpConfig, TcpTransport, TransportListener};
+use tacoma_transport::{
+    BackoffPolicy, ConnectConfig, ListenerConfig, ReactorConfig, ReactorTransport,
+    TransportListener,
+};
 
 fn firewall() -> Firewall {
     Firewall::new("alpha", 4711, Policy::trusting(), TrustStore::new())
 }
 
-fn transport() -> TcpTransport {
-    let mut config = TcpConfig {
+/// A reactor that gives up on a dead peer within a few hundred
+/// milliseconds.
+fn transport() -> ReactorTransport {
+    ReactorTransport::new(ReactorConfig {
+        connect: ConnectConfig {
+            local_host: "alpha".to_owned(),
+            connect_timeout: Duration::from_secs(1),
+            io_timeout: Duration::from_secs(2),
+            ..ConnectConfig::default()
+        },
+        shards: 1,
+        ack_timeout: Duration::from_millis(200),
+        retry_budget: Duration::from_millis(300),
         backoff: BackoffPolicy::fast(),
-        ..TcpConfig::default()
-    };
-    config.connect.local_host = "alpha".to_owned();
-    TcpTransport::new(config)
+        ..ReactorConfig::default()
+    })
+}
+
+fn dead_port() -> u16 {
+    let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    probe.local_addr().unwrap().port()
 }
 
 fn mail_to_beta() -> Message {
@@ -35,6 +55,25 @@ fn mail_to_beta() -> Message {
     )
 }
 
+/// Ships the mail to the (dead) beta and pumps the transport until the
+/// optimistic send fails and is parked.
+fn dispatch_and_park(fw: &mut Firewall, transport: &ReactorTransport, now: SimTime) {
+    let decision = fw
+        .dispatch_outbound(mail_to_beta(), now, transport)
+        .unwrap();
+    assert!(
+        matches!(decision, Decision::Forwarded { .. }),
+        "the nonblocking path reports Forwarded optimistically: {decision:?}"
+    );
+    assert_eq!(fw.transport_inflight(), 1);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while fw.transport_inflight() > 0 && Instant::now() < deadline {
+        fw.pump_transport(now, transport);
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(fw.transport_inflight(), 0, "the failure completed");
+}
+
 #[test]
 fn down_peer_parks_then_requeue_delivers_when_it_returns() {
     let mut fw = firewall();
@@ -42,16 +81,8 @@ fn down_peer_parks_then_requeue_delivers_when_it_returns() {
     let now = SimTime::ZERO;
 
     // Phase 1: beta is down (a port nothing listens on).
-    let dead_port = {
-        let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        probe.local_addr().unwrap().port()
-    };
-    transport.add_peer("beta", format!("127.0.0.1:{dead_port}"));
-
-    let decision = fw
-        .dispatch_outbound(mail_to_beta(), now, &transport)
-        .unwrap();
-    assert!(matches!(decision, Decision::Queued), "got {decision:?}");
+    transport.add_peer("beta", format!("127.0.0.1:{}", dead_port()));
+    dispatch_and_park(&mut fw, &transport, now);
     assert_eq!(fw.pending_len(), 1, "the message is parked, not dropped");
     let stats = fw.stats();
     assert_eq!(stats.queued, 1);
@@ -76,7 +107,7 @@ fn down_peer_parks_then_requeue_delivers_when_it_returns() {
     // The bytes that arrived at beta decode back to the parked message.
     let inbound = listener
         .incoming()
-        .recv_timeout(std::time::Duration::from_secs(5))
+        .recv_timeout(Duration::from_secs(5))
         .unwrap();
     assert_eq!(inbound.from_host, "alpha");
     let message = Message::decode(&inbound.payload).unwrap();
@@ -90,24 +121,19 @@ fn down_peer_parks_then_requeue_delivers_when_it_returns() {
 fn parked_mail_still_honours_its_deadline_across_sweeps() {
     let mut fw = firewall();
     let transport = transport();
-    let dead_port = {
-        let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        probe.local_addr().unwrap().port()
-    };
-    transport.add_peer("beta", format!("127.0.0.1:{dead_port}"));
+    transport.add_peer("beta", format!("127.0.0.1:{}", dead_port()));
 
     let start = SimTime::ZERO;
-    fw.dispatch_outbound(mail_to_beta(), start, &transport)
-        .unwrap();
+    dispatch_and_park(&mut fw, &transport, start);
 
     // Sweeps while down re-park but never extend the deadline.
-    let mid = start + std::time::Duration::from_secs(10);
+    let mid = start + Duration::from_secs(10);
     let (_, reparked) = fw.redeliver_remote_pending(mid, &transport);
     assert_eq!(reparked, 1);
 
     // Past the original 30 s queue timeout the message expires instead of
     // being retried forever.
-    let late = start + std::time::Duration::from_secs(40);
+    let late = start + Duration::from_secs(40);
     let (delivered, reparked) = fw.redeliver_remote_pending(late, &transport);
     assert_eq!((delivered, reparked), (0, 0), "expired mail is not retried");
     assert_eq!(fw.expire_pending(late), 1);

@@ -5,7 +5,10 @@ use std::time::Duration;
 
 use tacoma_security::Keyring;
 
-use crate::{build_hello, parse_welcome, Frame, FrameKind, FrameLimits, TransportError};
+use crate::frame::write_seq_frame;
+use crate::{
+    build_hello, parse_ack_seq, parse_welcome, Frame, FrameKind, FrameLimits, TransportError,
+};
 
 /// Client-side connection settings.
 #[derive(Debug, Clone)]
@@ -40,6 +43,8 @@ pub struct Connection {
     stream: TcpStream,
     limits: FrameLimits,
     peer_host: String,
+    /// The last sequence number [`Connection::send_payload`] assigned.
+    seq: u64,
 }
 
 impl Connection {
@@ -76,6 +81,7 @@ impl Connection {
             stream,
             limits: config.limits,
             peer_host: String::new(),
+            seq: 0,
         };
         let hello = build_hello(&config.local_host, config.keyring.as_ref(), nonce);
         conn.write(&Frame::new(FrameKind::Hello, hello))?;
@@ -108,7 +114,10 @@ impl Connection {
         self.stream
     }
 
-    /// Ships one Briefcase frame and waits for the peer's Ack.
+    /// Ships one briefcase and returns once the peer has acked it: the
+    /// pipelined protocol at window 1. The payload goes out as the next
+    /// `BriefcaseSeq` on this connection and is confirmed by the first
+    /// cumulative `AckSeq` covering that seq.
     ///
     /// The payload is written with vectored I/O directly from the
     /// caller's buffer — a briefcase's cached `wire_bytes()` reaches the
@@ -118,16 +127,27 @@ impl Connection {
     ///
     /// I/O errors (including ack timeout) or a protocol violation.
     pub fn send_payload(&mut self, payload: &[u8]) -> Result<(), TransportError> {
-        crate::frame::write_frame_vectored(&mut self.stream, FrameKind::Briefcase, payload)?;
-        let reply = self.read()?;
-        match reply.kind {
-            FrameKind::Ack => Ok(()),
-            FrameKind::Bye => Err(TransportError::Io {
-                detail: "peer said goodbye instead of acking".to_owned(),
-            }),
-            other => Err(TransportError::BadFrame {
-                detail: format!("expected Ack, got {other:?}"),
-            }),
+        self.seq += 1;
+        write_seq_frame(&mut self.stream, self.seq, payload)?;
+        loop {
+            let reply = self.read()?;
+            match reply.kind {
+                FrameKind::AckSeq => {
+                    if parse_ack_seq(&reply.payload)? >= self.seq {
+                        return Ok(());
+                    }
+                }
+                FrameKind::Bye => {
+                    return Err(TransportError::Io {
+                        detail: "peer said goodbye instead of acking".to_owned(),
+                    })
+                }
+                other => {
+                    return Err(TransportError::BadFrame {
+                        detail: format!("expected AckSeq, got {other:?}"),
+                    })
+                }
+            }
         }
     }
 

@@ -39,20 +39,17 @@ pub enum FrameKind {
     Welcome = 2,
     /// Server→client handshake rejection; payload is a UTF-8 reason.
     Reject = 3,
-    /// An encoded firewall [`Message`](tacoma_briefcase::Briefcase) frame.
-    Briefcase = 4,
-    /// Server→client receipt for one Briefcase frame.
-    Ack = 5,
     /// Client→server request for the peer's mediation statistics.
     Stats = 6,
     /// Server→client stats answer; payload is UTF-8 text.
     StatsReply = 7,
     /// Orderly goodbye; either side may send before closing.
     Bye = 8,
-    /// A pipelined briefcase frame: payload is an 8-byte little-endian
-    /// per-connection sequence number followed by the encoded message.
-    /// Acknowledged cumulatively with [`FrameKind::AckSeq`] instead of
-    /// one [`FrameKind::Ack`] per frame.
+    /// A briefcase frame: payload is an 8-byte little-endian
+    /// per-connection sequence number followed by the encoded firewall
+    /// message. Acknowledged cumulatively with [`FrameKind::AckSeq`].
+    /// (Kinds 4 and 5, the retired unsequenced briefcase and its bare
+    /// ack, no longer parse: a peer still speaking them is hung up on.)
     BriefcaseSeq = 9,
     /// Cumulative receipt: payload is the highest 8-byte little-endian
     /// sequence number the receiver has accepted; it covers every
@@ -67,8 +64,6 @@ impl FrameKind {
             1 => Some(FrameKind::Hello),
             2 => Some(FrameKind::Welcome),
             3 => Some(FrameKind::Reject),
-            4 => Some(FrameKind::Briefcase),
-            5 => Some(FrameKind::Ack),
             6 => Some(FrameKind::Stats),
             7 => Some(FrameKind::StatsReply),
             8 => Some(FrameKind::Bye),
@@ -108,10 +103,10 @@ pub struct Frame {
 
 /// Builds the 10-byte frame header for a payload of `payload_len` bytes.
 ///
-/// The reactor's vectored write path ships `[header, payload]` (or
+/// The vectored write paths ship `[header, payload]` (or
 /// `[header, seq, payload]` for [`FrameKind::BriefcaseSeq`]) as separate
-/// `IoSlice`s, so the payload `Bytes` is never copied into a contiguous
-/// encode buffer.
+/// `IoSlice`s, so the payload is never copied into a contiguous encode
+/// buffer.
 pub fn frame_header(kind: FrameKind, payload_len: u32) -> [u8; FRAME_HEADER_LEN] {
     let len = payload_len.to_le_bytes();
     [
@@ -127,6 +122,22 @@ pub fn frame_header(kind: FrameKind, payload_len: u32) -> [u8; FRAME_HEADER_LEN]
         len[3],
     ]
 }
+
+/// The wire prefix of a [`FrameKind::BriefcaseSeq`] frame carrying a
+/// `message_len`-byte message: the header, then the 8-byte seq. The
+/// message itself follows as its own `IoSlice`.
+pub(crate) fn seq_prefix(seq: u64, message_len: usize) -> [u8; SEQ_PREFIX_LEN] {
+    let mut prefix = [0u8; SEQ_PREFIX_LEN];
+    prefix[..FRAME_HEADER_LEN].copy_from_slice(&frame_header(
+        FrameKind::BriefcaseSeq,
+        (message_len + 8) as u32,
+    ));
+    prefix[FRAME_HEADER_LEN..].copy_from_slice(&seq.to_le_bytes());
+    prefix
+}
+
+/// Length of [`seq_prefix`]: frame header plus the 8-byte seq.
+pub(crate) const SEQ_PREFIX_LEN: usize = FRAME_HEADER_LEN + 8;
 
 /// Splits a [`FrameKind::BriefcaseSeq`] payload into its sequence number
 /// and the message bytes (a zero-copy slice of the frame payload).
@@ -171,7 +182,7 @@ impl Frame {
         }
     }
 
-    /// An empty frame of the given kind (Ack, Bye, Stats).
+    /// An empty frame of the given kind (Bye, Stats).
     pub fn bare(kind: FrameKind) -> Self {
         Frame {
             kind,
@@ -188,70 +199,6 @@ impl Frame {
         out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.payload);
         out
-    }
-
-    /// Decodes one frame from the front of `buf`, returning it and the
-    /// number of bytes consumed.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::BadFrame`] on malformation,
-    /// [`TransportError::FrameTooLarge`] when the declared payload
-    /// exceeds `limits`.
-    pub fn decode(buf: &[u8], limits: &FrameLimits) -> Result<(Frame, usize), TransportError> {
-        let (kind, range) = Frame::decode_range(buf, limits)?;
-        Ok((
-            Frame {
-                kind,
-                payload: Bytes::copy_from_slice(&buf[range.clone()]),
-            },
-            range.end,
-        ))
-    }
-
-    /// Zero-copy decode from a shared buffer: the payload is a
-    /// [`Bytes::slice`] of `buf`'s backing allocation, so a briefcase
-    /// frame read into one buffer flows to the firewall and VM without
-    /// the payload ever being copied.
-    ///
-    /// Returns the frame and the number of bytes consumed.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Frame::decode`].
-    pub fn decode_bytes(
-        buf: &Bytes,
-        limits: &FrameLimits,
-    ) -> Result<(Frame, usize), TransportError> {
-        let (kind, range) = Frame::decode_range(buf, limits)?;
-        Ok((
-            Frame {
-                kind,
-                payload: buf.slice(range.clone()),
-            },
-            range.end,
-        ))
-    }
-
-    /// The shared validation path: parses and bounds-checks the header,
-    /// returning the payload's byte range within `buf`.
-    fn decode_range(
-        buf: &[u8],
-        limits: &FrameLimits,
-    ) -> Result<(FrameKind, std::ops::Range<usize>), TransportError> {
-        if buf.len() < FRAME_HEADER_LEN {
-            return Err(TransportError::BadFrame {
-                detail: format!("short header: {} bytes", buf.len()),
-            });
-        }
-        let header = parse_header(&buf[..FRAME_HEADER_LEN], limits)?;
-        let total = FRAME_HEADER_LEN + header.len as usize;
-        if buf.len() < total {
-            return Err(TransportError::BadFrame {
-                detail: format!("payload truncated: want {total} bytes, have {}", buf.len()),
-            });
-        }
-        Ok((header.kind, FRAME_HEADER_LEN..total))
     }
 
     /// Reads one frame from a blocking stream.
@@ -287,30 +234,30 @@ impl Frame {
     }
 }
 
-/// Writes one frame as `[header, payload]` via vectored I/O and flushes,
-/// without ever building a contiguous `header+payload` buffer — the
-/// caller's payload (typically a briefcase's cached `wire_bytes()`) goes
-/// to the socket uncopied.
+/// Writes one [`FrameKind::BriefcaseSeq`] frame to a blocking stream as
+/// `[header + seq, message]` via vectored I/O, then flushes. No
+/// contiguous frame buffer is built: the caller's message (typically a
+/// briefcase's cached `wire_bytes()`) goes to the socket uncopied.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors, including a zero-length write (peer gone).
-pub fn write_frame_vectored(
+pub(crate) fn write_seq_frame(
     w: &mut impl Write,
-    kind: FrameKind,
-    payload: &[u8],
+    seq: u64,
+    message: &[u8],
 ) -> Result<(), TransportError> {
-    let header = frame_header(kind, payload.len() as u32);
-    let total = header.len() + payload.len();
+    let prefix = seq_prefix(seq, message.len());
+    let total = prefix.len() + message.len();
     let mut written = 0usize;
     while written < total {
-        let n = if written < header.len() {
+        let n = if written < prefix.len() {
             w.write_vectored(&[
-                std::io::IoSlice::new(&header[written..]),
-                std::io::IoSlice::new(payload),
+                std::io::IoSlice::new(&prefix[written..]),
+                std::io::IoSlice::new(message),
             ])?
         } else {
-            w.write(&payload[written - header.len()..])?
+            w.write(&message[written - prefix.len()..])?
         };
         if n == 0 {
             return Err(TransportError::Io {
@@ -368,8 +315,6 @@ mod tests {
             FrameKind::Hello,
             FrameKind::Welcome,
             FrameKind::Reject,
-            FrameKind::Briefcase,
-            FrameKind::Ack,
             FrameKind::Stats,
             FrameKind::StatsReply,
             FrameKind::Bye,
@@ -378,15 +323,28 @@ mod tests {
         ] {
             let f = Frame::new(kind, vec![1, 2, 3]);
             let wire = f.encode();
-            let (back, used) = Frame::decode(&wire, &limits).unwrap();
+            let mut rest = wire.as_slice();
+            let back = Frame::read_from(&mut rest, &limits).unwrap();
             assert_eq!(back, f);
-            assert_eq!(used, wire.len());
+            assert!(rest.is_empty(), "consumed exactly the encoding");
+            assert_eq!(FrameKind::from_u8(kind as u8), Some(kind));
+        }
+    }
+
+    #[test]
+    fn retired_kinds_do_not_parse() {
+        for retired in [4u8, 5] {
+            assert_eq!(FrameKind::from_u8(retired), None);
+            let mut wire = Frame::new(FrameKind::Bye, Vec::new()).encode();
+            wire[5] = retired;
+            let err = Frame::read_from(&mut wire.as_slice(), &FrameLimits::default()).unwrap_err();
+            assert!(matches!(err, TransportError::BadFrame { .. }), "{err:?}");
         }
     }
 
     #[test]
     fn read_write_stream_roundtrip() {
-        let f = Frame::new(FrameKind::Briefcase, vec![9u8; 1000]);
+        let f = Frame::new(FrameKind::BriefcaseSeq, vec![9u8; 1000]);
         let mut buf = Vec::new();
         f.write_to(&mut buf).unwrap();
         let back = Frame::read_from(&mut buf.as_slice(), &FrameLimits::default()).unwrap();
@@ -394,13 +352,17 @@ mod tests {
     }
 
     #[test]
-    fn vectored_write_matches_encode() {
-        let f = Frame::new(FrameKind::Briefcase, vec![3u8; 777]);
+    fn vectored_seq_write_matches_encode() {
+        let message = vec![3u8; 777];
         let mut vectored = Vec::new();
-        write_frame_vectored(&mut vectored, f.kind, &f.payload).unwrap();
+        write_seq_frame(&mut vectored, 42, &message).unwrap();
+        let mut payload = 42u64.to_le_bytes().to_vec();
+        payload.extend_from_slice(&message);
+        let f = Frame::new(FrameKind::BriefcaseSeq, payload);
         assert_eq!(vectored, f.encode());
         let back = Frame::read_from(&mut vectored.as_slice(), &FrameLimits::default()).unwrap();
-        assert_eq!(back, f);
+        let (seq, body) = split_seq(&back.payload).unwrap();
+        assert_eq!((seq, &body[..]), (42, &message[..]));
     }
 
     #[test]
@@ -408,29 +370,12 @@ mod tests {
         let mut wire = Vec::new();
         wire.extend_from_slice(&FRAME_MAGIC);
         wire.push(FRAME_VERSION);
-        wire.push(FrameKind::Briefcase as u8);
+        wire.push(FrameKind::BriefcaseSeq as u8);
         wire.extend_from_slice(&u32::MAX.to_le_bytes());
         // No payload present at all — the length check must fire first.
         let err =
             Frame::read_from(&mut wire.as_slice(), &FrameLimits { max_frame: 1024 }).unwrap_err();
         assert!(matches!(err, TransportError::FrameTooLarge { .. }));
-    }
-
-    #[test]
-    fn decode_bytes_is_zero_copy_and_matches_decode() {
-        let f = Frame::new(FrameKind::Briefcase, vec![5u8; 256]);
-        let wire = Bytes::from(f.encode());
-        let (copied, used_a) = Frame::decode(&wire, &FrameLimits::default()).unwrap();
-        let (sliced, used_b) = Frame::decode_bytes(&wire, &FrameLimits::default()).unwrap();
-        assert_eq!(copied, sliced);
-        assert_eq!(used_a, used_b);
-        // The sliced payload points inside the wire allocation.
-        let base = wire.as_ptr() as usize;
-        let p = sliced.payload.as_ptr() as usize;
-        assert!(p >= base && p + sliced.payload.len() <= base + wire.len());
-        // The copying decode does not.
-        let q = copied.payload.as_ptr() as usize;
-        assert!(q < base || q >= base + wire.len());
     }
 
     #[test]
@@ -465,10 +410,11 @@ mod tests {
 
     #[test]
     fn garbage_is_bad_frame() {
-        let err = Frame::decode(b"NOTAFRAME!", &FrameLimits::default()).unwrap_err();
+        let err =
+            Frame::read_from(&mut b"NOTAFRAME!".as_slice(), &FrameLimits::default()).unwrap_err();
         assert!(matches!(err, TransportError::BadFrame { .. }));
         let err = Frame::read_from(
-            &mut b"TAXF\x02\x04\0\0\0\0".as_slice(),
+            &mut b"TAXF\x02\x09\0\0\0\0".as_slice(),
             &FrameLimits::default(),
         )
         .unwrap_err();
@@ -477,7 +423,7 @@ mod tests {
 
     #[test]
     fn eof_mid_payload_is_io() {
-        let f = Frame::new(FrameKind::Briefcase, vec![7u8; 64]);
+        let f = Frame::new(FrameKind::BriefcaseSeq, vec![7u8; 64]);
         let wire = f.encode();
         let err = Frame::read_from(&mut wire[..20].as_ref(), &FrameLimits::default()).unwrap_err();
         assert!(matches!(err, TransportError::Io { .. }));

@@ -9,22 +9,22 @@
 //! [`WriteQueue`](crate::reactor). A thousand mostly-idle peers cost a
 //! thousand sockets and a few parked threads.
 //!
-//! Both wire dialects are served on the same port:
-//!
-//! - legacy stop-and-wait (`Briefcase` → bare `Ack`), spoken by the
-//!   pooled [`TcpTransport`](crate::TcpTransport) and `taxsh`;
-//! - the pipelined window (`BriefcaseSeq` → cumulative `AckSeq`),
-//!   spoken by [`ReactorTransport`](crate::ReactorTransport). Per
-//!   connection, a [`RecvWindow`] suppresses retransmitted seqs (the
-//!   frame is re-acked but not re-forwarded); *cross*-connection dedup
-//!   stays where it always was, in the `pre_ack` hop-key hook.
+//! Briefcases arrive in one dialect: `BriefcaseSeq` frames, confirmed by
+//! cumulative `AckSeq` frames. [`ReactorTransport`](crate::ReactorTransport)
+//! pipelines up to its ack window; a blocking
+//! [`Connection::send_payload`](crate::Connection::send_payload) (as
+//! `taxsh send` uses) is the same protocol at window 1. Per connection, a
+//! [`RecvWindow`] suppresses retransmitted seqs (the frame is re-acked
+//! but not re-forwarded); *cross*-connection dedup stays where it always
+//! was, in the `pre_ack` hop-key hook. Any other frame after the
+//! handshake — including the retired unsequenced kinds 4 and 5, which no
+//! longer parse — gets the peer hung up on.
 //!
 //! [`ListenerConfig::ack_delay`] delays (and therefore coalesces)
 //! acknowledgements — the bench's WAN-RTT knob: one late cumulative ack
-//! covers a whole pipelined window, while a stop-and-wait sender eats
-//! the full delay on every frame.
+//! covers a whole pipelined window, while a window-1 sender eats the
+//! full delay on every frame.
 
-use std::collections::VecDeque;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -275,8 +275,6 @@ struct ConnState {
     writeq: WriteQueue,
     phase: Phase,
     last_activity: Instant,
-    /// Due times for owed legacy (stop-and-wait) acks, oldest first.
-    legacy_acks: VecDeque<Instant>,
     /// The owed cumulative ack and when it is due. Seq frames arriving
     /// while one is pending fold into it — that is the coalescing.
     seq_ack: Option<(u64, Instant)>,
@@ -292,7 +290,6 @@ impl ConnState {
             writeq: WriteQueue::new(),
             phase: Phase::AwaitingHello,
             last_activity: Instant::now(),
-            legacy_acks: VecDeque::new(),
             seq_ack: None,
             closing: false,
         }
@@ -300,7 +297,6 @@ impl ConnState {
 
     fn busy(&self, now: Instant) -> bool {
         self.writeq.has_pending()
-            || !self.legacy_acks.is_empty()
             || self.seq_ack.is_some()
             || now.duration_since(self.last_activity) < ACTIVITY_WINDOW
     }
@@ -350,7 +346,7 @@ impl ListenerShard {
                 (idle_park * 2).min(MAX_IDLE_PARK)
             };
             // An owed ack must not oversleep its due time.
-            let park = self.nearest_ack_due(now).map_or(idle_park, |due| {
+            let park = self.nearest_ack_due().map_or(idle_park, |due| {
                 idle_park.min(
                     due.saturating_duration_since(now)
                         .max(Duration::from_micros(200)),
@@ -369,20 +365,11 @@ impl ListenerShard {
         }
     }
 
-    fn nearest_ack_due(&self, _now: Instant) -> Option<Instant> {
-        let mut nearest: Option<Instant> = None;
-        for conn in &self.conns {
-            for due in conn
-                .legacy_acks
-                .front()
-                .copied()
-                .into_iter()
-                .chain(conn.seq_ack.map(|(_, due)| due))
-            {
-                nearest = Some(nearest.map_or(due, |n| n.min(due)));
-            }
-        }
-        nearest
+    fn nearest_ack_due(&self) -> Option<Instant> {
+        self.conns
+            .iter()
+            .filter_map(|conn| conn.seq_ack.map(|(_, due)| due))
+            .min()
     }
 
     /// One pass over connection `i`. Returns `false` when the
@@ -404,7 +391,7 @@ impl ListenerShard {
             self.conns[i].last_activity = now;
         }
         for frame in frames {
-            if !self.handle_frame(i, frame, now) {
+            if !self.handle_frame(i, &frame, now) {
                 return false;
             }
         }
@@ -413,16 +400,8 @@ impl ListenerShard {
         if eof {
             conn.closing = true;
         }
-        // Emit acks that have come due — or everything owed, when the
-        // peer is done sending and just waits for confirmations.
-        while conn
-            .legacy_acks
-            .front()
-            .is_some_and(|due| conn.closing || *due <= now)
-        {
-            conn.legacy_acks.pop_front();
-            conn.writeq.push_frame(FrameKind::Ack, bytes::Bytes::new());
-        }
+        // Emit the ack once it has come due — or right away, when the
+        // peer is done sending and just waits for confirmation.
         if conn
             .seq_ack
             .is_some_and(|(_, due)| conn.closing || due <= now)
@@ -444,7 +423,7 @@ impl ListenerShard {
     }
 
     /// Applies one inbound frame. Returns `false` to hang up.
-    fn handle_frame(&mut self, i: usize, frame: Frame, now: Instant) -> bool {
+    fn handle_frame(&mut self, i: usize, frame: &Frame, now: Instant) -> bool {
         let delay = self.config.ack_delay.unwrap_or(Duration::ZERO);
         match &self.conns[i].phase {
             Phase::AwaitingHello => {
@@ -483,19 +462,6 @@ impl ListenerShard {
                 true
             }
             Phase::Open { .. } => match frame.kind {
-                FrameKind::Briefcase => {
-                    self.counters.add_received(frame.payload.len() as u64);
-                    let forward = self
-                        .config
-                        .pre_ack
-                        .as_ref()
-                        .is_none_or(|hook| hook(&frame.payload));
-                    if forward && !self.forward(i, frame.payload) {
-                        return false;
-                    }
-                    self.conns[i].legacy_acks.push_back(now + delay);
-                    true
-                }
                 FrameKind::BriefcaseSeq => {
                     let Ok((seq, body)) = split_seq(&frame.payload) else {
                         return false;

@@ -1,12 +1,10 @@
-//! [`ReactorTransport`]: the sharded nonblocking TCP backend.
+//! [`ReactorTransport`]: the TCP client backend — sharded and
+//! nonblocking.
 //!
-//! The legacy [`TcpTransport`](crate::TcpTransport) is blocking and
-//! stop-and-wait: one briefcase per round trip, one pooled connection
-//! checked out per send. That caps per-peer throughput at `1/RTT` and
-//! makes every concurrent peer cost a blocked thread. This module
-//! replaces it with a small, fixed set of **shard threads** (peers
-//! assigned by host hash), each owning many *nonblocking* sockets and
-//! looping:
+//! A blocking stop-and-wait client caps per-peer throughput at `1/RTT`
+//! and makes every concurrent peer cost a blocked thread. The reactor
+//! instead runs a small, fixed set of **shard threads** (peers assigned
+//! by host hash), each owning many *nonblocking* sockets and looping:
 //!
 //! 1. drain the shard's command channel (new sends, shutdown),
 //! 2. apply finished connector handshakes,
@@ -46,7 +44,7 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 
-use crate::frame::{parse_header, ParsedHeader};
+use crate::frame::{parse_header, seq_prefix, ParsedHeader, SEQ_PREFIX_LEN};
 use crate::traits::Completion;
 use crate::window::SendWindow;
 use crate::{
@@ -184,7 +182,7 @@ pub(crate) struct WriteQueue {
 
 #[derive(Debug)]
 struct PendingFrame {
-    prefix: [u8; FRAME_HEADER_LEN + 8],
+    prefix: [u8; SEQ_PREFIX_LEN],
     prefix_len: usize,
     payload: Bytes,
 }
@@ -202,7 +200,7 @@ impl WriteQueue {
 
     /// Queues an ordinary frame.
     pub(crate) fn push_frame(&mut self, kind: FrameKind, payload: Bytes) {
-        let mut prefix = [0u8; FRAME_HEADER_LEN + 8];
+        let mut prefix = [0u8; SEQ_PREFIX_LEN];
         prefix[..FRAME_HEADER_LEN].copy_from_slice(&frame_header(kind, payload.len() as u32));
         self.frames.push_back(PendingFrame {
             prefix,
@@ -214,15 +212,9 @@ impl WriteQueue {
     /// Queues a `BriefcaseSeq` frame: the 8-byte seq lives in the wire
     /// prefix, so the message payload is shipped unmodified.
     pub(crate) fn push_seq_frame(&mut self, seq: u64, payload: Bytes) {
-        let mut prefix = [0u8; FRAME_HEADER_LEN + 8];
-        prefix[..FRAME_HEADER_LEN].copy_from_slice(&frame_header(
-            FrameKind::BriefcaseSeq,
-            (payload.len() + 8) as u32,
-        ));
-        prefix[FRAME_HEADER_LEN..].copy_from_slice(&seq.to_le_bytes());
         self.frames.push_back(PendingFrame {
-            prefix,
-            prefix_len: FRAME_HEADER_LEN + 8,
+            prefix: seq_prefix(seq, payload.len()),
+            prefix_len: SEQ_PREFIX_LEN,
             payload,
         });
     }
@@ -299,7 +291,7 @@ impl WriteQueue {
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
     /// Connection-level settings (local host name, keyring, limits,
-    /// connect/handshake timeouts) — shared with the blocking path.
+    /// connect/handshake timeouts) for the connector threads.
     pub connect: ConnectConfig,
     /// Shard thread count. Defaults to `available_parallelism`
     /// (clamped to 8): shards are about socket fan-out, not CPU.
@@ -584,7 +576,11 @@ impl Shard {
             }
         }
         for out in expired {
-            let attempts = self.peers.get(host).map_or(1, |p| p.attempt.max(1));
+            // Failed connection attempts, plus one still in flight.
+            let attempts = self
+                .peers
+                .get(host)
+                .map_or(1, |p| (p.attempt + u32::from(p.connecting)).max(1));
             let host_name = out.host.clone();
             self.complete(
                 out,
@@ -614,8 +610,7 @@ impl Shard {
             peer.connecting = true;
             if peer.attempt > 0 || peer.had_connection {
                 // Every attempt after the first — whether the peer was
-                // never up or a live connection died — is a reconnect,
-                // matching the legacy pool's accounting.
+                // never up or a live connection died — is a reconnect.
                 self.counters.add_reconnect();
             }
             self.connectors_out += 1;
@@ -778,8 +773,8 @@ pub struct ReactorTransport {
     shard_threads: Mutex<Vec<JoinHandle<()>>>,
     completions_rx: Receiver<Completion>,
     counters: TransportCounters,
-    /// Host name → socket address overrides, as in
-    /// [`TcpTransport::add_peer`](crate::TcpTransport::add_peer).
+    /// Host name → socket address overrides (see
+    /// [`ReactorTransport::add_peer`]).
     peers: Mutex<HashMap<String, String>>,
     /// Per-peer queue depth gauges, shared with the owning shard so
     /// [`Transport::send_nowait`] can refuse synchronously at capacity.
@@ -995,7 +990,7 @@ mod tests {
     fn write_queue_coalesces_and_survives_partial_writes() {
         let mut q = WriteQueue::new();
         q.push_seq_frame(1, Bytes::from(vec![0xAA; 100]));
-        q.push_frame(FrameKind::Briefcase, Bytes::from(vec![0xBB; 50]));
+        q.push_frame(FrameKind::StatsReply, Bytes::from(vec![0xBB; 50]));
         q.push_ack_seq(7);
 
         // A writer that accepts 13 bytes at a time forces partial-write
@@ -1019,16 +1014,14 @@ mod tests {
         // The byte stream decodes back into the three frames.
         let limits = FrameLimits::default();
         let mut rest: &[u8] = &sink.0;
-        let (f1, used) = Frame::decode(rest, &limits).unwrap();
-        rest = &rest[used..];
-        let (f2, used) = Frame::decode(rest, &limits).unwrap();
-        rest = &rest[used..];
-        let (f3, used) = Frame::decode(rest, &limits).unwrap();
-        assert_eq!(used, rest.len());
+        let f1 = Frame::read_from(&mut rest, &limits).unwrap();
+        let f2 = Frame::read_from(&mut rest, &limits).unwrap();
+        let f3 = Frame::read_from(&mut rest, &limits).unwrap();
+        assert!(rest.is_empty(), "exactly three frames");
         assert_eq!(f1.kind, FrameKind::BriefcaseSeq);
         let (seq, body) = crate::split_seq(&f1.payload).unwrap();
         assert_eq!((seq, body.len()), (1, 100));
-        assert_eq!(f2.kind, FrameKind::Briefcase);
+        assert_eq!(f2.kind, FrameKind::StatsReply);
         assert_eq!(f2.payload.len(), 50);
         assert_eq!(f3.kind, FrameKind::AckSeq);
         assert_eq!(parse_ack_seq(&f3.payload).unwrap(), 7);

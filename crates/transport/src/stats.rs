@@ -1,4 +1,4 @@
-//! Transport counters, shared between connection pools, listeners, and
+//! Transport counters, shared between the reactor's shards, listeners, and
 //! the firewall's stats surface.
 
 use std::fmt;

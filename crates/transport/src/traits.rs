@@ -45,13 +45,13 @@ pub trait Transport: Send + Sync + fmt::Debug {
     /// Counter snapshot for this transport instance.
     fn stats(&self) -> TransportStats;
 
-    /// Short backend name for logs and stats lines (`"tcp"`, `"simnet"`).
+    /// Short backend name for logs and stats lines (`"reactor"`, `"simnet"`).
     fn kind(&self) -> &'static str;
 
     /// Whether this transport implements the pipelined nonblocking path
     /// ([`Transport::send_nowait`] / [`Transport::drain_completions`]).
-    /// Backends that don't (simnet, legacy pooled TCP) keep the default
-    /// `false` and callers stay on the blocking [`Transport::send`].
+    /// Backends that don't (simnet) keep the default `false` and callers
+    /// stay on the blocking [`Transport::send`].
     fn supports_nowait(&self) -> bool {
         false
     }

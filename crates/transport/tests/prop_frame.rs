@@ -1,11 +1,32 @@
 //! Property-based tests for the frame codec: roundtrip identity, limit
-//! enforcement, and totality on hostile input.
+//! enforcement, and totality on hostile input — all through
+//! [`Frame::read_from`], the decoder a blocking `Connection` runs.
 
 use proptest::prelude::*;
 use tacoma_transport::{Frame, FrameKind, FrameLimits, TransportError, FRAME_HEADER_LEN};
 
+/// Every kind on the wire today. Kinds 4 and 5 are retired.
+const KINDS: [FrameKind; 8] = [
+    FrameKind::Hello,
+    FrameKind::Welcome,
+    FrameKind::Reject,
+    FrameKind::Stats,
+    FrameKind::StatsReply,
+    FrameKind::Bye,
+    FrameKind::BriefcaseSeq,
+    FrameKind::AckSeq,
+];
+
 fn arb_kind() -> impl Strategy<Value = FrameKind> {
-    (1u8..9).prop_map(|b| FrameKind::from_u8(b).expect("1..=8 are all valid kinds"))
+    (0..KINDS.len()).prop_map(|i| KINDS[i])
+}
+
+/// Decodes one frame from the front of `wire`, returning it and the
+/// number of bytes consumed.
+fn read_one(wire: &[u8], limits: &FrameLimits) -> Result<(Frame, usize), TransportError> {
+    let mut rest = wire;
+    let frame = Frame::read_from(&mut rest, limits)?;
+    Ok((frame, wire.len() - rest.len()))
 }
 
 fn arb_frame() -> impl Strategy<Value = Frame> {
@@ -14,20 +35,21 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
 }
 
 proptest! {
-    /// encode → decode is the identity and consumes exactly the encoding.
+    /// encode → read is the identity and consumes exactly the encoding.
     #[test]
     fn roundtrip(frame in arb_frame()) {
         let wire = frame.encode();
-        let (back, used) = Frame::decode(&wire, &FrameLimits::default()).unwrap();
+        let (back, used) = read_one(&wire, &FrameLimits::default()).unwrap();
         prop_assert_eq!(back, frame);
         prop_assert_eq!(used, wire.len());
     }
 
-    /// Stream read/write agrees with the buffer codec.
+    /// Stream write agrees with the buffer encoding.
     #[test]
     fn stream_roundtrip(frame in arb_frame()) {
         let mut buf = Vec::new();
         frame.write_to(&mut buf).unwrap();
+        prop_assert_eq!(&buf, &frame.encode());
         let back = Frame::read_from(&mut buf.as_slice(), &FrameLimits::default()).unwrap();
         prop_assert_eq!(back, frame);
     }
@@ -38,8 +60,8 @@ proptest! {
         let mut wire = a.encode();
         wire.extend_from_slice(&b.encode());
         let limits = FrameLimits::default();
-        let (first, used) = Frame::decode(&wire, &limits).unwrap();
-        let (second, rest) = Frame::decode(&wire[used..], &limits).unwrap();
+        let (first, used) = read_one(&wire, &limits).unwrap();
+        let (second, rest) = read_one(&wire[used..], &limits).unwrap();
         prop_assert_eq!(first, a);
         prop_assert_eq!(second, b);
         prop_assert_eq!(used + rest, wire.len());
@@ -59,15 +81,14 @@ proptest! {
         wire[6..10].copy_from_slice(&(declared as u32).to_le_bytes());
         wire.truncate(FRAME_HEADER_LEN);
         wire.extend(std::iter::repeat_n(0u8, present));
-        let err = Frame::decode(&wire, &FrameLimits { max_frame: limit }).unwrap_err();
+        let err = read_one(&wire, &FrameLimits { max_frame: limit }).unwrap_err();
         prop_assert!(matches!(err, TransportError::FrameTooLarge { .. }));
     }
 
     /// The decoder never panics on arbitrary bytes.
     #[test]
     fn decoder_total_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = Frame::decode(&bytes, &FrameLimits::default());
-        let _ = Frame::read_from(&mut bytes.as_slice(), &FrameLimits::default());
+        let _ = read_one(&bytes, &FrameLimits::default());
     }
 
     /// Corrupting any single header byte of a valid frame either still
@@ -77,6 +98,6 @@ proptest! {
     fn header_corruption_is_contained(frame in arb_frame(), idx in 0usize..FRAME_HEADER_LEN, xor in 1u8..) {
         let mut wire = frame.encode();
         wire[idx] ^= xor;
-        let _ = Frame::decode(&wire, &FrameLimits::default());
+        let _ = read_one(&wire, &FrameLimits::default());
     }
 }

@@ -111,11 +111,10 @@ impl VirtualMachine for VmBin {
                 // A raw compiled program (the vm_c pipeline's output).
                 // The decode + lowering are memoized by content hash, so
                 // a repeat visitor launches from the warm program.
-                let (program, hit) = ProgramCache::shared().decode(&code)?;
+                let (program, _) = ProgramCache::shared().decode(&code)?;
                 trace.push(format!(
-                    "vm_bin: executing {} bytecode instructions ({})",
+                    "vm_bin: executing {} bytecode instructions",
                     program.instruction_count(),
-                    if hit { "cache-hit" } else { "decoded" },
                 ));
                 let outcome = launch(&program, briefcase, hooks, ctx.fuel)?;
                 trace.push(format!("vm_bin: agent ended with {outcome:?}"));
@@ -140,11 +139,10 @@ impl VirtualMachine for VmBin {
                     trace.push(format!("vm_bin: agent ended with {outcome:?}"));
                     Ok(Execution { outcome, trace })
                 } else {
-                    let (program, hit) = ProgramCache::shared().decode(&artifact.payload)?;
+                    let (program, _) = ProgramCache::shared().decode(&artifact.payload)?;
                     trace.push(format!(
-                        "vm_bin: executing {} bytecode instructions ({})",
+                        "vm_bin: executing {} bytecode instructions",
                         program.instruction_count(),
-                        if hit { "cache-hit" } else { "decoded" },
                     ));
                     let outcome = launch(&program, briefcase, hooks, ctx.fuel)?;
                     trace.push(format!("vm_bin: agent ended with {outcome:?}"));

@@ -17,8 +17,8 @@ else
     echo "==> cargo deny: not installed, skipping (cargo install cargo-deny)"
 fi
 
-echo "==> cargo test"
-cargo test -q
+echo "==> cargo test (whole workspace)"
+cargo test --workspace -q
 
 echo "==> crash recovery (journal kill tests, release)"
 cargo test --release --test taxd_journal -q
